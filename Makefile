@@ -26,8 +26,9 @@ race:
 	$(GO) test -race ./...
 
 # invariants runs the correctness harness (see CORRECTNESS.md): the exact
-# MMKP oracle differential tests against the Lagrangian and greedy solvers,
-# and the full-run invariant suites over simulated chaos runs and random
+# MMKP oracle differential tests (TestDifferential*) against the Lagrangian
+# and greedy solvers and the cached, warm-started and incremental solve
+# paths, and the full-run invariant suites over simulated chaos runs and random
 # Manager operation sequences. Failures print a shrunk counterexample and a
 # one-line repro; set HARP_CHECK_ARTIFACTS to also write it to a file.
 invariants:

@@ -1,15 +1,15 @@
 package harpsim
 
-// Open-loop churn harness: the 10k-session scale proof for coalesced epochs,
-// incremental re-solves and sharded solving (ISSUE 9). Unlike Run, which
-// simulates application execution on the virtual machine, RunChurn drives a
-// core.Manager directly with a seeded stream of mutating events — Poisson
-// session arrivals, exponential-ish departures, table uploads and phase
-// changes — on a virtual 50 ms tick, and measures the wall-clock latency of
-// every epoch the manager actually solves. The event stream is a pure
-// function of the seed, so two same-seed runs produce byte-identical
-// decision journals; sampled epochs are differentially verified against
-// check.CheckAllocations through an instrumented allocator wrapper.
+// Open-loop churn harness: the 10k-session scale proof for coalesced epochs
+// and incremental re-solves. Unlike Run, which simulates application
+// execution on the virtual machine, RunChurn drives a core.Manager directly
+// with a seeded stream of mutating events — Poisson session arrivals,
+// exponential-ish departures, table uploads and phase changes — on a virtual
+// 50 ms tick, and measures the wall-clock latency of every epoch the manager
+// actually solves. The event stream is a pure function of the seed, so two
+// same-seed runs produce byte-identical decision journals; sampled epochs are
+// structurally checked by check.CheckAllocations through an instrumented
+// allocator wrapper (a feasibility check, not the exact MMKP oracle).
 
 import (
 	"fmt"
@@ -30,8 +30,7 @@ import (
 
 // ChurnOptions configures one open-loop churn run.
 type ChurnOptions struct {
-	// Platform is the machine (nil selects ChurnPlatform(4, 8) — four core
-	// kinds so sharding forms real domains).
+	// Platform is the machine (nil selects ChurnPlatform(4, 8)).
 	Platform *platform.Platform
 	// Sessions is the target concurrent session population (ramped up
 	// before the measured phase).
@@ -46,10 +45,6 @@ type ChurnOptions struct {
 	// Coalesce is the manager's coalescing policy (zero = solve per event,
 	// the historical behaviour the benchmark's "before" column measures).
 	Coalesce core.CoalescePolicy
-	// Sharded solves kind-footprint domains in parallel; ShardParallelism
-	// bounds its workers (<= 0 = one per CPU).
-	Sharded          bool
-	ShardParallelism int
 	// Incremental enables the allocator's incremental re-solve path.
 	Incremental bool
 	// CacheSize sizes the allocator's solution cache (0 = default,
@@ -59,9 +54,9 @@ type ChurnOptions struct {
 	// O(sessions) per epoch, so large-population benchmark runs leave it
 	// nil and the byte-identity test runs at a smaller population.
 	Journal io.Writer
-	// VerifyEvery differentially verifies every n-th solved epoch against
+	// CheckEvery structurally checks every n-th solved epoch with
 	// check.CheckAllocations (0 disables).
-	VerifyEvery int
+	CheckEvery int
 }
 
 // ChurnResult reports one churn run.
@@ -74,10 +69,10 @@ type ChurnResult struct {
 	PeakSessions  int
 	FinalSessions int
 	// SolveSources counts epochs by Stats.Source (cold, cached,
-	// incremental, sharded, ...).
+	// incremental, ...).
 	SolveSources map[string]int
-	// Verified counts epochs that passed the CheckAllocations oracle.
-	Verified int
+	// Checked counts epochs that passed check.CheckAllocations.
+	Checked int
 	// P50/P99/Max are wall-clock latencies of the calls (events and ticks)
 	// in which at least one solve ran — the epoch latency the 50 ms tick
 	// bounds.
@@ -85,8 +80,7 @@ type ChurnResult struct {
 }
 
 // ChurnPlatform builds a synthetic multi-kind machine for churn runs: kinds
-// core kinds with coresPer cores each, no SMT. Several kinds matter — the
-// sharded allocator's domains follow kind footprints.
+// core kinds with coresPer cores each, no SMT.
 func ChurnPlatform(kinds, coresPer int) *platform.Platform {
 	p := &platform.Platform{
 		Name:            fmt.Sprintf("churn-%dx%d", kinds, coresPer),
@@ -113,17 +107,18 @@ func ChurnPlatform(kinds, coresPer int) *platform.Platform {
 	return p
 }
 
-// verifyingAllocator wraps the solve so the harness can count epochs,
-// aggregate sources and hand sampled (inputs, allocs) pairs to the oracle.
-type verifyingAllocator struct {
-	inner      core.Allocator
+// checkingAllocator wraps the solve so the harness can count epochs,
+// aggregate sources and hand sampled (inputs, allocs) pairs to the
+// structural check.
+type checkingAllocator struct {
+	inner      *alloc.Allocator
 	solves     int
 	lastInputs []alloc.AppInput
 	lastAllocs []alloc.Allocation
 	lastSource string
 }
 
-func (v *verifyingAllocator) AllocateWithStats(apps []alloc.AppInput) ([]alloc.Allocation, alloc.Stats, error) {
+func (v *checkingAllocator) AllocateWithStats(apps []alloc.AppInput) ([]alloc.Allocation, alloc.Stats, error) {
 	allocs, stats, err := v.inner.AllocateWithStats(apps)
 	if err != nil {
 		return allocs, stats, err
@@ -158,26 +153,18 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	tracer := telemetry.NewTracer(16)
 	tracer.SetClock(func() time.Duration { return now })
 
-	var allocOpts []alloc.Option
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
 		cacheSize = alloc.DefaultCacheSize
 	}
-	allocOpts = append(allocOpts,
+	inner, err := alloc.New(plat,
 		alloc.WithCache(cacheSize),
 		alloc.WithIncremental(opts.Incremental),
 	)
-	var inner core.Allocator
-	var err error
-	if opts.Sharded {
-		inner, err = alloc.NewSharded(plat, opts.ShardParallelism, 0, allocOpts...)
-	} else {
-		inner, err = alloc.New(plat, allocOpts...)
-	}
 	if err != nil {
 		return nil, err
 	}
-	verifier := &verifyingAllocator{inner: inner}
+	checker := &checkingAllocator{inner: inner}
 
 	var journal *telemetry.Journal
 	if opts.Journal != nil {
@@ -185,7 +172,7 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	}
 	mgr, err := core.NewManager(core.Config{
 		Platform:           plat,
-		Allocator:          verifier,
+		Allocator:          checker,
 		DisableExploration: true,
 		Coalesce:           opts.Coalesce,
 		Tracer:             tracer,
@@ -200,25 +187,24 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	var latencies []time.Duration
 	var live []string
 	nextID := 0
-	verified := 0
 
 	// timed wraps one manager call, attributing its wall-clock duration to
 	// epoch latency iff a solve actually ran inside it, and running the
-	// sampled oracle check.
+	// sampled structural check.
 	timed := func(fn func() error) error {
-		before := verifier.solves
+		before := checker.solves
 		t0 := time.Now()
 		err := fn()
 		d := time.Since(t0)
-		if verifier.solves > before {
+		if checker.solves > before {
 			latencies = append(latencies, d)
-			res.Epochs += verifier.solves - before
-			res.SolveSources[sourceLabel(verifier.lastSource)]++
-			if opts.VerifyEvery > 0 && verifier.solves%opts.VerifyEvery == 0 {
-				if cerr := check.CheckAllocations(plat, verifier.lastInputs, verifier.lastAllocs); cerr != nil {
-					return fmt.Errorf("harpsim: churn epoch %d failed oracle: %w", verifier.solves, cerr)
+			res.Epochs += checker.solves - before
+			res.SolveSources[sourceLabel(checker.lastSource)]++
+			if opts.CheckEvery > 0 && checker.solves%opts.CheckEvery == 0 {
+				if cerr := check.CheckAllocations(plat, checker.lastInputs, checker.lastAllocs); cerr != nil {
+					return fmt.Errorf("harpsim: churn epoch %d failed structural check: %w", checker.solves, cerr)
 				}
-				verified++
+				res.Checked++
 			}
 		}
 		return err
@@ -295,7 +281,6 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	}
 
 	res.FinalSessions = len(live)
-	res.Verified = verified
 	res.P50, res.P99, res.Max = percentiles(latencies)
 	return res, nil
 }
@@ -308,8 +293,7 @@ func sourceLabel(s string) string {
 }
 
 // churnTable builds a small synthetic operating-point table whose vectors
-// live entirely on one core kind (chosen by app identity), so kind
-// footprints partition the population into sharding domains. Utilities vary
+// live entirely on one core kind (chosen by app identity). Utilities vary
 // per app so tables — and hence fingerprints — differ; the content is a pure
 // function of the app name, because the manager shares one explorer table
 // per application and a re-registration that uploaded different content

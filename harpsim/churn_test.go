@@ -8,10 +8,10 @@ import (
 )
 
 // TestChurnSameSeedByteIdenticalJournals pins the determinism contract at the
-// system level: two runs with the same seed — coalescing, incremental solves
-// and sharded solving all enabled — must emit byte-identical decision
-// journals, because every random choice flows from the seed and all
-// timestamps come from the virtual clock.
+// system level: two runs with the same seed — coalescing and incremental
+// solves both enabled — must emit byte-identical decision journals, because
+// every random choice flows from the seed and all timestamps come from the
+// virtual clock.
 func TestChurnSameSeedByteIdenticalJournals(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
@@ -21,7 +21,6 @@ func TestChurnSameSeedByteIdenticalJournals(t *testing.T) {
 			EventsPerTick: 3,
 			Seed:          42,
 			Coalesce:      core.CoalescePolicy{Enabled: true},
-			Sharded:       true,
 			Incremental:   true,
 			Journal:       &buf,
 		})
@@ -110,9 +109,9 @@ func TestChurnSolvePerEventBaseline(t *testing.T) {
 	}
 }
 
-// TestChurnOracleVerification pins the differential-verification hook: with
-// VerifyEvery set, sampled epochs run through check.CheckAllocations and the
-// run fails on any violation.
+// TestChurnOracleVerification pins the structural-check hook: with CheckEvery
+// set, sampled epochs run through check.CheckAllocations and the run fails on
+// any violation.
 func TestChurnOracleVerification(t *testing.T) {
 	res, err := RunChurn(ChurnOptions{
 		Sessions:      40,
@@ -120,17 +119,16 @@ func TestChurnOracleVerification(t *testing.T) {
 		EventsPerTick: 3,
 		Seed:          11,
 		Coalesce:      core.CoalescePolicy{Enabled: true},
-		Sharded:       true,
 		Incremental:   true,
-		VerifyEvery:   2,
+		CheckEvery:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verified == 0 {
-		t.Fatal("no epochs were oracle-verified")
+	if res.Checked == 0 {
+		t.Fatal("no epochs were structurally checked")
 	}
-	if res.SolveSources["sharded"] == 0 {
-		t.Fatalf("no sharded epochs recorded: %v", res.SolveSources)
+	if res.SolveSources["incremental"] == 0 {
+		t.Fatalf("no incremental epochs recorded: %v", res.SolveSources)
 	}
 }

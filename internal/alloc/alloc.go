@@ -290,10 +290,6 @@ const (
 	// re-solve of the changed applications against the residual capacity
 	// (see incremental.go).
 	SourceIncremental = "incremental"
-	// SourceSharded is a solve partitioned into independent allocation
-	// domains by platform-kind footprint and solved in parallel (see
-	// sharded.go). Single-domain sharded solves keep the child's source.
-	SourceSharded = "sharded"
 
 	// The remaining sources are degradation-ladder rungs, produced by
 	// core.Manager (not this package's solver) when the primary solve
@@ -325,7 +321,7 @@ type Stats struct {
 	// CoAllocated counts applications that ended up sharing cores.
 	CoAllocated int
 	// Source tells where the solution came from: SourceCold, SourceWarm,
-	// SourceCached, SourceIncremental or SourceSharded.
+	// SourceCached or SourceIncremental.
 	Source string
 	// Pinned and Resolved break an incremental solve down: Pinned
 	// applications kept their standing allocation, Resolved went through the
@@ -451,47 +447,6 @@ func (a *Allocator) AllocateWithStats(apps []AppInput) ([]Allocation, Stats, err
 	}
 	a.rememberFullSolve(apps, out)
 	a.emitTrace(stats)
-	return out, stats, nil
-}
-
-// AllocateCapped solves against an explicit per-kind core capacity instead
-// of the platform's (capacity[k] <= the kind's core count). The sharded
-// allocator's power-budget coordinator uses it to shrink a domain's
-// footprint; the solution cache and the incremental path are bypassed — the
-// fingerprint does not cover capacity overrides — but pins are refreshed so
-// later incremental merges start from what was returned.
-func (a *Allocator) AllocateCapped(apps []AppInput, capacity []int) ([]Allocation, Stats, error) {
-	var stats Stats
-	if len(apps) == 0 {
-		return nil, stats, nil
-	}
-	if len(capacity) != len(a.plat.Kinds) {
-		return nil, stats, fmt.Errorf("alloc: capped solve with %d capacities for %d kinds", len(capacity), len(a.plat.Kinds))
-	}
-	states := a.scratch.ensureStates(len(apps))
-	for i, app := range apps {
-		if app.Table == nil {
-			return nil, stats, fmt.Errorf("alloc: app %q without operating-point table", app.ID)
-		}
-		if err := a.buildState(states[i], app); err != nil {
-			return nil, stats, err
-		}
-		stats.Candidates += len(states[i].cands)
-	}
-	stats.Apps = len(apps)
-	stats.Source = SourceCold
-	stats.LambdaIters = a.selectPoints(states, capacity, nil)
-	a.refine(states, capacity)
-	out, err := a.assignCores(states)
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, al := range out {
-		if al.CoAllocated {
-			stats.CoAllocated++
-		}
-	}
-	a.rememberFullSolve(apps, out)
 	return out, stats, nil
 }
 

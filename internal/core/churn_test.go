@@ -311,36 +311,37 @@ func TestCoalescedEpochTriggerLabels(t *testing.T) {
 	}
 }
 
-// TestShardedManagerConfig pins the Config wiring: ShardedAlloc builds a
-// sharded default allocator and the manager solves through it.
-func TestShardedManagerConfig(t *testing.T) {
+// TestIncrementalManagerConfig pins the Config wiring: AllocIncremental
+// turns on the default allocator's incremental path, so a phase change on
+// one session re-solves with the others pinned rather than from scratch.
+func TestIncrementalManagerConfig(t *testing.T) {
 	p := churnTestPlatform(t)
 	m, err := NewManager(Config{
 		Platform:           p,
 		DisableExploration: true,
-		ShardedAlloc:       true,
-		ShardParallelism:   2,
 		AllocIncremental:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two sessions on disjoint kinds → two domains → sharded solve.
-	for i, kind := range []int{0, 1} {
+	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("s%d", i)
 		if err := m.Register(id, fmt.Sprintf("app%d", i), workload.Scalable, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.UploadTable(id, churnTestTable(t, p, fmt.Sprintf("app%d", i), kind, 2)); err != nil {
+		if err := m.UploadTable(id, churnTestTable(t, p, fmt.Sprintf("app%d", i), i%2, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.LastSolveSource(); got != alloc.SourceSharded {
-		t.Fatalf("solve source = %q, want %q", got, alloc.SourceSharded)
+	if err := m.PhaseChange("s1", "compute-stage"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LastSolveSource(); got != alloc.SourceIncremental {
+		t.Fatalf("solve source = %q, want %q", got, alloc.SourceIncremental)
 	}
 	for _, info := range m.Sessions() {
 		if s := m.sessions[info.Instance]; s.last == nil || len(s.last.Grants) == 0 {
-			t.Fatalf("session %s has no grants from the sharded solve", info.Instance)
+			t.Fatalf("session %s has no grants after the incremental solve", info.Instance)
 		}
 	}
 }

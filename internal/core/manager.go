@@ -171,21 +171,6 @@ type Config struct {
 	// dirty-event bound. The zero value preserves solve-per-event behaviour.
 	// See coalesce.go.
 	Coalesce CoalescePolicy
-	// ShardedAlloc replaces the default allocator with an alloc.Sharded that
-	// partitions sessions into kind-footprint domains and solves them in
-	// parallel. Ignored when Allocator is set. The sharded allocator does not
-	// support the deadline probe or cache export (those hooks assume a single
-	// solver), so EpochBudget's early-cutoff rung and snapshot cache seeding
-	// are inactive with it.
-	ShardedAlloc bool
-	// ShardParallelism bounds the sharded allocator's worker count
-	// (<= 0 = one per CPU). Ignored unless ShardedAlloc.
-	ShardParallelism int
-	// PowerCapW, when > 0, arms the sharded allocator's power-budget
-	// coordinator: when the summed chosen-point power exceeds the cap, every
-	// domain is re-solved once against proportionally scaled capacities.
-	// Ignored unless ShardedAlloc.
-	PowerCapW float64
 	// AllocIncremental enables the default allocator's incremental re-solve
 	// path: unchanged sessions stay pinned at their standing allocations and
 	// only the changed set re-optimises against the residual capacity.
@@ -318,25 +303,13 @@ func NewManager(cfg Config) (*Manager, error) {
 			cacheSize = alloc.DefaultCacheSize
 		}
 		var err error
-		if cfg.ShardedAlloc {
-			// Children share the metrics bundle (its instruments are atomic)
-			// but not the tracer: parallel children would interleave ring
-			// events nondeterministically.
-			allocator, err = alloc.NewSharded(cfg.Platform, cfg.ShardParallelism, cfg.PowerCapW,
-				alloc.WithMetrics(cfg.Metrics),
-				alloc.WithCache(cacheSize),
-				alloc.WithWarmStart(cfg.AllocWarmStart),
-				alloc.WithIncremental(cfg.AllocIncremental),
-			)
-		} else {
-			allocator, err = alloc.New(cfg.Platform,
-				alloc.WithTracer(cfg.Tracer),
-				alloc.WithMetrics(cfg.Metrics),
-				alloc.WithCache(cacheSize),
-				alloc.WithWarmStart(cfg.AllocWarmStart),
-				alloc.WithIncremental(cfg.AllocIncremental),
-			)
-		}
+		allocator, err = alloc.New(cfg.Platform,
+			alloc.WithTracer(cfg.Tracer),
+			alloc.WithMetrics(cfg.Metrics),
+			alloc.WithCache(cacheSize),
+			alloc.WithWarmStart(cfg.AllocWarmStart),
+			alloc.WithIncremental(cfg.AllocIncremental),
+		)
 		if err != nil {
 			return nil, err
 		}
@@ -361,11 +334,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.EpochBudget = DefaultEpochBudget
 	}
 	m := &Manager{
-		cfg:       cfg,
-		allocator: allocator,
-		fallback:  fallback,
-		sessions:  make(map[string]*session),
-		explorers: make(map[string]*explore.Explorer),
+		cfg:        cfg,
+		allocator:  allocator,
+		fallback:   fallback,
+		sessions:   make(map[string]*session),
+		explorers:  make(map[string]*explore.Explorer),
 		ended:      make(map[string]struct{}),
 		priorPhase: make(map[string]string),
 		orderIdx:   make(map[string]int),

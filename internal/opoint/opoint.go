@@ -116,13 +116,12 @@ func (t *Table) Version() uint64 {
 var tableIDs atomic.Uint64
 
 // ID returns a process-unique identity for the table, assigned on first
-// call. Derived caches outside the table (the allocator's fingerprint memo,
-// the sharded allocator's footprint memo) key on it instead of the pointer:
-// a *Table key can be poisoned when a freed table's address is reused by a
-// new table at the same version — clones in particular all restart at
-// version 0, so under session churn (predicted tables being rebuilt and
-// dropped every epoch) a pointer key validated only by version may serve a
-// stale entry for a different table. Identities are never reused, so an ID
+// call. Derived caches outside the table (the allocator's fingerprint memo)
+// key on it instead of the pointer: a *Table key can be poisoned when a
+// freed table's address is reused by a new table at the same version —
+// clones in particular all restart at version 0, so under session churn
+// (predicted tables being rebuilt and dropped every epoch) a pointer key
+// validated only by version may serve a stale entry for a different table. Identities are never reused, so an ID
 // hit is always the same table. Clones do not inherit the ID.
 func (t *Table) ID() uint64 {
 	t.mu.Lock()
