@@ -431,7 +431,7 @@ func measureChurn() (*ChurnReport, error) {
 		Ticks:         40,
 		EventsPerTick: 20,
 		Seed:          1,
-		Coalesce:      core.CoalescePolicy{Enabled: true},
+		Coalesce:      true,
 		Incremental:   true,
 		CheckEvery:    8,
 	})
@@ -443,7 +443,7 @@ func measureChurn() (*ChurnReport, error) {
 		Ticks:         10,
 		EventsPerTick: 5,
 		Seed:          1,
-		// Zero CoalescePolicy: the historical solve-per-event behaviour.
+		// Coalesce off: the historical solve-per-event behaviour.
 	})
 	if err != nil {
 		return nil, err

@@ -10,7 +10,7 @@
 //	      [-suspect-after 1s -quarantine-after 3s -reap-after 10s] \
 //	      [-telemetry 127.0.0.1:9140] [-journal /var/log/harp/journal.jsonl] \
 //	      [-state-dir /var/lib/harp] [-max-sessions 64]
-//	      [-alloc-cache 64] [-alloc-warm-start=false] [-epoch-budget 20ms]
+//	      [-alloc-warm-start=false] [-epoch-budget 20ms]
 //
 // -liveness enables session health tracking (suspect → quarantine → reap,
 // see RESILIENCE.md); the three deadline flags tune it and imply -liveness on
@@ -79,7 +79,6 @@ func run(args []string) error {
 		traceBuffer   = fs.Int("trace-buffer", 0, "event ring capacity for harpctl trace (0 = default)")
 		stateDir      = fs.String("state-dir", "", "directory for durable RM state (snapshot + WAL); restarts resume learned tables (empty = off)")
 		maxSessions   = fs.Int("max-sessions", 0, "admission cap on concurrent sessions (0 = unlimited)")
-		allocCache    = fs.Int("alloc-cache", 0, "fingerprinted solution-cache capacity (0 = default, negative = off)")
 		allocWarm     = fs.Bool("alloc-warm-start", true, "seed each solve's subgradient iteration from the previous epoch's multipliers")
 		epochBudget   = fs.Duration("epoch-budget", 0, "deadline budget per epoch solve before the degradation ladder engages (0 = default, negative = off)")
 	)
@@ -123,7 +122,6 @@ func run(args []string) error {
 		Energy:             energy,
 		StateDir:           *stateDir,
 		MaxSessions:        *maxSessions,
-		AllocCacheSize:     *allocCache,
 		AllocWarmStart:     *allocWarm,
 		EpochBudget:        *epochBudget,
 	})

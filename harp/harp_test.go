@@ -191,6 +191,12 @@ func TestUploadDescriptionDrivesAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	// The registration's own activation already has cores, so it cannot
+	// stand for the upload's: remember its Seq and wait for a later push.
+	reg, ok := waitActivation(t, client)
+	if !ok {
+		t.Fatal("no registration activation")
+	}
 	if err := client.UploadDescription(bytes.NewReader(desc)); err != nil {
 		t.Fatalf("UploadDescription: %v", err)
 	}
@@ -198,7 +204,10 @@ func TestUploadDescriptionDrivesAllocation(t *testing.T) {
 	// The upload triggers a reallocation whose decision reflects the table.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if act, ok := client.Activation(); ok && len(act.Cores) > 0 {
+		if act, ok := client.Activation(); ok && act.Seq > reg.Seq {
+			if len(act.Cores) == 0 {
+				t.Fatal("post-upload activation without cores")
+			}
 			break
 		}
 		if time.Now().After(deadline) {

@@ -97,10 +97,6 @@ type ServerConfig struct {
 	// MaxSessions caps concurrently registered sessions (0 = unlimited).
 	// Over-cap registrations are acked with core.ErrTooManySessions.
 	MaxSessions int
-	// AllocCacheSize sizes the allocator's fingerprinted solution cache:
-	// 0 selects the default capacity, negative disables caching. Ignored
-	// when Allocator is set.
-	AllocCacheSize int
 	// AllocWarmStart seeds each solve's subgradient iteration from the
 	// previous epoch's λ vector (fewer iterations on perturbed inputs; see
 	// PERFORMANCE.md). Ignored when Allocator is set.
@@ -232,7 +228,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Metrics:            cfg.Metrics,
 		Energy:             cfg.Energy,
 		MaxSessions:        cfg.MaxSessions,
-		AllocCacheSize:     cfg.AllocCacheSize,
 		AllocWarmStart:     cfg.AllocWarmStart,
 		EpochBudget:        cfg.EpochBudget,
 		LatencyClock:       func() time.Duration { return time.Since(start) },

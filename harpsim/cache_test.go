@@ -5,35 +5,44 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/harp-rm/harp/internal/alloc"
+	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/telemetry"
 )
 
 // TestCacheTransparentInSimulation is the end-to-end half of the cache's
-// decision-transparency contract: the same seeded scenario run with the
-// solution cache disabled and enabled (the default) must produce identical
-// simulation results and journals that agree on every field except the solve
-// bookkeeping (lambda_iters, solve_source) — and the default run must
-// actually serve some epochs from the cache.
+// decision-transparency contract: the same seeded scenario run with a
+// cache-less allocator injected through the in-package run seam and with the
+// RM's default (cached) allocator must produce identical simulation results
+// and journals that agree on every field except the solve bookkeeping
+// (lambda_iters, solve_source) — and the default run must actually serve
+// some epochs from the cache.
 func TestCacheTransparentInSimulation(t *testing.T) {
 	sc := intelScenario(t, "cg.C", "mg.C", "is.C")
 	tables := OfflineDSETables(sc.Platform, sc.Apps)
-	run := func(cacheSize int) (*Result, []telemetry.EpochRecord) {
+	runWith := func(allocator core.Allocator) (*Result, []telemetry.EpochRecord) {
 		var jbuf bytes.Buffer
-		res := mustRun(t, sc, Options{
-			Policy:         PolicyHARPOffline,
-			OfflineTables:  tables,
-			Seed:           5,
-			AllocCacheSize: cacheSize,
-			Journal:        telemetry.NewJournal(&jbuf),
-		})
+		res, err := run(sc, Options{
+			Policy:        PolicyHARPOffline,
+			OfflineTables: tables,
+			Seed:          5,
+			Journal:       telemetry.NewJournal(&jbuf),
+		}, allocator)
+		if err != nil {
+			t.Fatal(err)
+		}
 		recs, err := telemetry.ReadJournal(bytes.NewReader(jbuf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, recs
 	}
-	off, offRecs := run(-1)
-	on, onRecs := run(0)
+	uncached, err := alloc.New(sc.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, offRecs := runWith(uncached)
+	on, onRecs := runWith(nil)
 
 	if off.MakespanSec != on.MakespanSec || off.EnergyJ != on.EnergyJ {
 		t.Errorf("cache changed the simulation: makespan %.4f vs %.4f, energy %.1f vs %.1f",

@@ -42,14 +42,12 @@ type ChurnOptions struct {
 	// Seed drives every random choice; same seed, same event stream, same
 	// journal bytes.
 	Seed int64
-	// Coalesce is the manager's coalescing policy (zero = solve per event,
-	// the historical behaviour the benchmark's "before" column measures).
-	Coalesce core.CoalescePolicy
+	// Coalesce enables the manager's epoch coalescing (false = solve per
+	// event, the historical behaviour the benchmark's "before" column
+	// measures).
+	Coalesce bool
 	// Incremental enables the allocator's incremental re-solve path.
 	Incremental bool
-	// CacheSize sizes the allocator's solution cache (0 = default,
-	// negative = off).
-	CacheSize int
 	// Journal receives the decision journal (nil disables). Journaling is
 	// O(sessions) per epoch, so large-population benchmark runs leave it
 	// nil and the byte-identity test runs at a smaller population.
@@ -153,12 +151,8 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	tracer := telemetry.NewTracer(16)
 	tracer.SetClock(func() time.Duration { return now })
 
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = alloc.DefaultCacheSize
-	}
 	inner, err := alloc.New(plat,
-		alloc.WithCache(cacheSize),
+		alloc.WithCache(alloc.DefaultCacheSize),
 		alloc.WithIncremental(opts.Incremental),
 	)
 	if err != nil {

@@ -3,8 +3,6 @@ package harpsim
 import (
 	"bytes"
 	"testing"
-
-	"github.com/harp-rm/harp/internal/core"
 )
 
 // TestChurnSameSeedByteIdenticalJournals pins the determinism contract at the
@@ -20,7 +18,7 @@ func TestChurnSameSeedByteIdenticalJournals(t *testing.T) {
 			Ticks:         20,
 			EventsPerTick: 3,
 			Seed:          42,
-			Coalesce:      core.CoalescePolicy{Enabled: true},
+			Coalesce:      true,
 			Incremental:   true,
 			Journal:       &buf,
 		})
@@ -51,7 +49,7 @@ func TestChurnDifferentSeedsDiverge(t *testing.T) {
 			Ticks:         10,
 			EventsPerTick: 3,
 			Seed:          seed,
-			Coalesce:      core.CoalescePolicy{Enabled: true},
+			Coalesce:      true,
 			Journal:       &buf,
 		}); err != nil {
 			t.Fatal(err)
@@ -72,7 +70,7 @@ func TestChurnCoalescingCollapsesEpochs(t *testing.T) {
 		Ticks:         25,
 		EventsPerTick: 4,
 		Seed:          7,
-		Coalesce:      core.CoalescePolicy{Enabled: true},
+		Coalesce:      true,
 		Incremental:   true,
 	})
 	if err != nil {
@@ -92,8 +90,8 @@ func TestChurnCoalescingCollapsesEpochs(t *testing.T) {
 }
 
 // TestChurnSolvePerEventBaseline pins the "before" behaviour the benchmark
-// compares against: with the zero CoalescePolicy every mutating event solves
-// inline, so epochs track events one-for-one.
+// compares against: with coalescing off every mutating event solves inline,
+// so epochs track events one-for-one.
 func TestChurnSolvePerEventBaseline(t *testing.T) {
 	res, err := RunChurn(ChurnOptions{
 		Sessions:      15,
@@ -118,7 +116,7 @@ func TestChurnOracleVerification(t *testing.T) {
 		Ticks:         15,
 		EventsPerTick: 3,
 		Seed:          11,
-		Coalesce:      core.CoalescePolicy{Enabled: true},
+		Coalesce:      true,
 		Incremental:   true,
 		CheckEvery:    2,
 	})

@@ -20,9 +20,9 @@ import (
 )
 
 // rehomeBound is the asserted ceiling on how long a once-placed session
-// may stay unowned: DeadAfter ticks to declare the machine dead, one tick
-// of coordinator failover slack, the client-retry delay, and the
-// remove-then-add migration tick.
+// may stay unowned: cluster.DefaultDeadAfter ticks to declare the machine
+// dead, one tick of coordinator failover slack, the client-retry delay,
+// and the remove-then-add migration tick.
 const rehomeBound = 4 + clientRetryAfter + 4
 
 func atTick(n int) time.Duration { return time.Duration(n) * core.AdaptationTick }

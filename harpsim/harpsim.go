@@ -132,9 +132,6 @@ type Options struct {
 	MeasureEvery time.Duration
 	// Explore tunes runtime exploration.
 	Explore explore.Config
-	// ReallocEvery is the stable-stage reallocation cadence in
-	// measurements; zero selects the paper's 100.
-	ReallocEvery int
 	// TaxBase and TaxPerApp model HARP's management overhead as a fraction
 	// of useful progress per managed application: overall tax =
 	// TaxBase + TaxPerApp·(managed−1). Zeros select 0.4 % and 0.5 %,
@@ -179,13 +176,6 @@ type Options struct {
 	// harpd after kill -9. Empty disables persistence; rm-crash then
 	// restarts the RM cold.
 	StateDir string
-	// AllocCacheSize sizes the RM's fingerprinted solution cache (0 =
-	// default, negative = off). The cache is decision-transparent: the same
-	// scenario and seed produce byte-identical journals with it on or off
-	// except for the lambda_iters/solve_source bookkeeping fields.
-	AllocCacheSize int
-	// AllocWarmStart seeds each solve from the previous epoch's λ vector.
-	AllocWarmStart bool
 }
 
 // TimelineEvent is one applied allocation decision.

@@ -42,7 +42,7 @@ func LearnTables(sc Scenario, learnFor, snapshotEvery time.Duration, opts Option
 	if err != nil {
 		return nil, err
 	}
-	harness, err := attachHARP(machine, sc, opts)
+	harness, err := attachHARP(machine, sc, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,14 @@ import (
 // Run executes one scenario under the selected policy and returns its
 // measurements.
 func Run(sc Scenario, opts Options) (*Result, error) {
+	return run(sc, opts, nil)
+}
+
+// run is Run with the RM's allocator overridden: nil keeps the one
+// core.NewManager builds (fingerprinted solution cache, cold starts).
+// In-package tests inject a cache-less allocator to prove the cache
+// decision-transparent; an rm-crash restart reuses the injected instance.
+func run(sc Scenario, opts Options, allocator core.Allocator) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -35,7 +43,7 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 	}
 	var harness *harpHarness
 	if opts.Policy.IsHARP() {
-		harness, err = attachHARP(machine, sc, opts)
+		harness, err = attachHARP(machine, sc, opts, allocator)
 		if err != nil {
 			return nil, err
 		}
@@ -178,8 +186,9 @@ type muteState struct {
 	reconnect bool // re-register once the mute lifts (dropout/disconnect)
 }
 
-// attachHARP connects the RM to a machine.
-func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, error) {
+// attachHARP connects the RM to a machine; a nil allocator selects the
+// manager's default one.
+func attachHARP(machine *sim.Machine, sc Scenario, opts Options, allocator core.Allocator) (*harpHarness, error) {
 	// Rebind the tracer and energy ledger to virtual time before anything
 	// emits or integrates: identical scenarios then produce bit-identical
 	// event streams and joule totals.
@@ -192,16 +201,14 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	disableExplore := opts.Policy == PolicyHARPOffline || !sc.Platform.SimultaneousPMU
 	coreCfg := core.Config{
 		Platform:           sc.Platform,
+		Allocator:          allocator,
 		Explore:            opts.Explore,
 		OfflineTables:      opts.OfflineTables,
 		DisableExploration: disableExplore,
-		ReallocEvery:       opts.ReallocEvery,
 		Tracer:             opts.Tracer,
 		Journal:            opts.Journal,
 		Metrics:            opts.Metrics,
 		Energy:             opts.Energy,
-		AllocCacheSize:     opts.AllocCacheSize,
-		AllocWarmStart:     opts.AllocWarmStart,
 	}
 	// coreCfg stays Store-free as the restart template; cfg is the working
 	// copy with the live store attached (only when non-nil — a typed-nil
@@ -235,16 +242,16 @@ func attachHARP(machine *sim.Machine, sc Scenario, opts Options) (*harpHarness, 
 	}
 
 	h := &harpHarness{
-		machine:      machine,
-		mgr:          mgr,
-		mon:          mon,
-		opts:         opts,
-		managed:      make(map[string]*sim.Proc),
-		energyAt:     make(map[string]float64),
-		stableAtSec:  -1,
-		restartCount: make(map[string]int),
-		liveness:     opts.Liveness,
-		faults:       opts.Faults.Cursor(),
+		machine:       machine,
+		mgr:           mgr,
+		mon:           mon,
+		opts:          opts,
+		managed:       make(map[string]*sim.Proc),
+		energyAt:      make(map[string]float64),
+		stableAtSec:   -1,
+		restartCount:  make(map[string]int),
+		liveness:      opts.Liveness,
+		faults:        opts.Faults.Cursor(),
 		sessionUp:     make(map[string]bool),
 		lastSeen:      make(map[string]time.Duration),
 		muted:         make(map[string]*muteState),

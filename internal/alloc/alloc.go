@@ -34,6 +34,10 @@ const (
 	Greedy
 )
 
+// subgradientIters is the Lagrangian solver's fixed subgradient iteration
+// budget; a solve stops earlier at a λ fixpoint or on the epoch deadline.
+const subgradientIters = 60
+
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {
@@ -89,7 +93,6 @@ type Allocation struct {
 type Allocator struct {
 	plat    *platform.Platform
 	method  Method
-	iters   int
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Metrics
 
@@ -104,16 +107,16 @@ type Allocator struct {
 	prevLambda []float64
 	havePrev   bool
 
-	// Incremental re-solve state (incremental.go): standing allocations
-	// pinned per application, the epochs since the last full solve, and the
-	// cost-slack baseline the drift bound compares against.
-	inc           bool
-	incFullEvery  int
-	incDriftBound float64
-	incPins       map[string]*pinnedApp
-	incSinceFull  int
-	incBaseSlack  float64
-	incHaveBase   bool
+	// Incremental re-solve state (incremental.go): the full-solve cadence
+	// (DefaultIncrementalFullEvery; in-package tests shorten it), standing
+	// allocations pinned per application, the epochs since the last full
+	// solve, and the cost-slack baseline the drift bound compares against.
+	inc          bool
+	incFullEvery int
+	incPins      map[string]*pinnedApp
+	incSinceFull int
+	incBaseSlack float64
+	incHaveBase  bool
 
 	// overBudget, when set, is polled between subgradient iterations; a
 	// true return cuts the λ loop off early (repair still makes the
@@ -186,11 +189,6 @@ func WithMethod(m Method) Option {
 	return optionFunc(func(a *Allocator) { a.method = m })
 }
 
-// WithIterations sets the subgradient iteration count (default 60).
-func WithIterations(n int) Option {
-	return optionFunc(func(a *Allocator) { a.iters = n })
-}
-
 // WithTracer emits an EvAllocationComputed event per solver run (nil
 // disables tracing).
 func WithTracer(t *telemetry.Tracer) Option {
@@ -225,24 +223,15 @@ func New(plat *platform.Platform, opts ...Option) (*Allocator, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Allocator{plat: plat, method: Lagrangian, iters: 60}
+	a := &Allocator{plat: plat, method: Lagrangian, incFullEvery: DefaultIncrementalFullEvery}
 	for _, o := range opts {
 		o.apply(a)
 	}
 	if a.method != Lagrangian && a.method != Greedy {
 		return nil, fmt.Errorf("alloc: bad method %d", a.method)
 	}
-	if a.iters < 1 {
-		return nil, fmt.Errorf("alloc: iterations %d", a.iters)
-	}
 	if a.cacheSize > 0 {
 		a.cache = newSolutionCache(a.cacheSize)
-	}
-	if a.incFullEvery < 1 {
-		a.incFullEvery = DefaultIncrementalFullEvery
-	}
-	if a.incDriftBound <= 0 {
-		a.incDriftBound = DefaultIncrementalDriftBound
 	}
 	if a.inc {
 		a.incPins = make(map[string]*pinnedApp)
@@ -696,8 +685,8 @@ func (a *Allocator) lagrangianSelect(states []*appState, capacity []int, warm []
 
 	s.demand = growInts(s.demand, nk)
 	demand := s.demand
-	iters := a.iters
-	for it := 0; it < a.iters; it++ {
+	iters := subgradientIters
+	for it := 0; it < subgradientIters; it++ {
 		if it > 0 && a.overBudget != nil && a.overBudget() {
 			// Deadline cutoff (degradation-ladder rung 1): keep the
 			// selection from the previous iteration rather than miss the

@@ -159,7 +159,9 @@ func (a *Allocator) tableInfo(t *opoint.Table) tableHashEntry {
 // fingerprintBase hashes the per-Allocator constants — platform capacity
 // layout, solver method and iteration budget — once at construction. Core
 // capacities live here, so a cache entry persisted under one platform can
-// never be served under another.
+// never be served under another; the iteration budget is a compile-time
+// constant, hashed so entries persisted by a build with another budget never
+// hit.
 func (a *Allocator) fingerprintBase() Fingerprint {
 	h := newFPHasher()
 	h.str(a.plat.Name)
@@ -170,7 +172,7 @@ func (a *Allocator) fingerprintBase() Fingerprint {
 		h.u64(uint64(k.SMT))
 	}
 	h.u64(uint64(a.method))
-	h.u64(uint64(a.iters))
+	h.u64(subgradientIters)
 	return h.sum()
 }
 

@@ -61,16 +61,6 @@ func WithIncremental(on bool) Option {
 	return optionFunc(func(a *Allocator) { a.inc = on })
 }
 
-// WithIncrementalCadence overrides the full-solve cadence (default
-// DefaultIncrementalFullEvery; values < 1 are ignored).
-func WithIncrementalCadence(every int) Option {
-	return optionFunc(func(a *Allocator) {
-		if every >= 1 {
-			a.incFullEvery = every
-		}
-	})
-}
-
 // pinnedApp is one application's standing allocation with everything needed
 // to detect change, free its capacity and account drift without touching its
 // table.
@@ -218,7 +208,7 @@ func (a *Allocator) tryIncremental(apps []AppInput, capacity []int) ([]Allocatio
 		minSum += pin.minCost
 	}
 	slack := (1 + chosenSum) / (1 + minSum)
-	if a.incHaveBase && slack > a.incDriftBound*a.incBaseSlack+1e-9 {
+	if a.incHaveBase && slack > DefaultIncrementalDriftBound*a.incBaseSlack+1e-9 {
 		return nil, Stats{}, false, nil // drifted past the bound; full solve
 	}
 
@@ -326,11 +316,4 @@ func (a *Allocator) prunePins(apps []AppInput) {
 			delete(a.incPins, id)
 		}
 	}
-}
-
-// IncrementalStats reports the incremental solver's bookkeeping: how many
-// merges have run since the last full solve and how many applications are
-// currently pinned.
-func (a *Allocator) IncrementalStats() (sinceFull, pinned int) {
-	return a.incSinceFull, len(a.incPins)
 }

@@ -180,10 +180,11 @@ func vecOf(t *testing.T, p *platform.Platform, kind, cores int) platform.Resourc
 // pipeline again.
 func TestIncrementalFullSolveCadence(t *testing.T) {
 	p := incTestPlatform(t)
-	a, err := New(p, WithIncremental(true), WithIncrementalCadence(2), WithCache(-1))
+	a, err := New(p, WithIncremental(true), WithCache(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.incFullEvery = 2
 	inputs := incTestInputs(t, p, 4)
 	sources := []string{}
 	for i := 0; i < 5; i++ {
@@ -294,7 +295,7 @@ func TestIncrementalOffIsByteStable(t *testing.T) {
 			}
 		}
 	}
-	if since, pinned := a.IncrementalStats(); since != 0 || pinned != 0 {
+	if since, pinned := a.incSinceFull, len(a.incPins); since != 0 || pinned != 0 {
 		t.Fatalf("incremental bookkeeping (%d, %d) active although the option is off", since, pinned)
 	}
 }

@@ -88,15 +88,6 @@ type Config struct {
 	// FleetBudgetW is the fleet-wide power budget, distributed across the
 	// alive machines as per-machine caps. 0 disables budget enforcement.
 	FleetBudgetW float64
-	// DeadAfter is the missed-heartbeat count that declares a machine dead
-	// (0 selects DefaultDeadAfter).
-	DeadAfter int
-	// SnapshotEvery is the standby shipping cadence in ticks (0 selects
-	// DefaultSnapshotEvery).
-	SnapshotEvery int
-	// MigrateBatch bounds migration starts per tick (0 selects
-	// DefaultMigrateBatch).
-	MigrateBatch int
 	// Static disables bin-packing and migration: sessions are spread
 	// round-robin over fixed budget/N partitions. The Fig-style experiment's
 	// baseline.
@@ -104,8 +95,6 @@ type Config struct {
 	// Verify runs check.CheckFleet at the end of every tick and fails the
 	// tick on a violation. Chaos suites turn it on.
 	Verify bool
-	// Coalesce is each machine manager's epoch-coalescing policy.
-	Coalesce core.CoalescePolicy
 	// Tracer receives cluster transition events (and the machine managers'
 	// events); its clock is the harness's virtual clock. May be nil.
 	Tracer *telemetry.Tracer
@@ -119,21 +108,12 @@ type Config struct {
 	MachineJournal func(id string) io.Writer
 }
 
-func (c *Config) withDefaults() error {
+func (c *Config) validate() error {
 	if c.Machines < 1 {
 		return fmt.Errorf("cluster: fleet of %d machines", c.Machines)
 	}
 	if c.Platform == nil {
 		return errors.New("cluster: config without platform")
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = DefaultDeadAfter
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if c.MigrateBatch <= 0 {
-		c.MigrateBatch = DefaultMigrateBatch
 	}
 	return nil
 }
@@ -190,7 +170,7 @@ type coordinator struct {
 	admitted map[string]float64
 	caps     map[string]float64
 	// dead is the coordinator's belief (declared machines), which can lag
-	// the killed ground truth by up to DeadAfter ticks.
+	// the killed ground truth by up to DefaultDeadAfter ticks.
 	dead     map[string]bool
 	inflight []migration
 	epoch    uint64
@@ -256,7 +236,7 @@ type Fleet struct {
 // New builds a fleet: machines m0..m(N-1), a fresh coordinator, an empty
 // standby.
 func New(cfg Config) (*Fleet, error) {
-	if err := cfg.withDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	f := &Fleet{cfg: cfg, standby: &standby{}, jw: cfg.Journal}
@@ -270,7 +250,8 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		// Each machine gets its own allocator (solution caches and warm
 		// state must not be shared); the tracer is shared — ticks run in
-		// machine index order, so interleaving stays deterministic.
+		// machine index order, so interleaving stays deterministic. Every
+		// machine coalesces its epochs onto the fleet tick.
 		a, err := alloc.New(cfg.Platform, alloc.WithCache(alloc.DefaultCacheSize))
 		if err != nil {
 			return nil, err
@@ -279,7 +260,7 @@ func New(cfg Config) (*Fleet, error) {
 			Platform:           cfg.Platform,
 			Allocator:          a,
 			DisableExploration: true,
-			Coalesce:           cfg.Coalesce,
+			Coalesce:           true,
 			Tracer:             cfg.Tracer,
 			Journal:            journal,
 		})
@@ -489,7 +470,7 @@ func (f *Fleet) Tick() error {
 			return fmt.Errorf("cluster: machine %s tick: %w", m.id, err)
 		}
 	}
-	if f.tick%uint64(f.cfg.SnapshotEvery) == 0 {
+	if f.tick%DefaultSnapshotEvery == 0 {
 		if err := f.ship(); err != nil {
 			return err
 		}
@@ -540,9 +521,9 @@ func (f *Fleet) redistributeCaps() {
 }
 
 // heartbeats delivers this tick's heartbeats from non-killed machines and
-// declares machines dead once DeadAfter ticks pass without one. A declared
-// machine's sessions go back to the placement queue (registry entries with
-// machine == "") and its manager is discarded.
+// declares machines dead once DefaultDeadAfter ticks pass without one. A
+// declared machine's sessions go back to the placement queue (registry
+// entries with machine == "") and its manager is discarded.
 func (f *Fleet) heartbeats() {
 	c := f.coord
 	for _, m := range f.machines {
@@ -551,7 +532,7 @@ func (f *Fleet) heartbeats() {
 		}
 	}
 	for _, m := range f.machines {
-		if c.dead[m.id] || f.tick-m.lastBeat < uint64(f.cfg.DeadAfter) {
+		if c.dead[m.id] || f.tick-m.lastBeat < DefaultDeadAfter {
 			continue
 		}
 		c.dead[m.id] = true
@@ -684,9 +665,9 @@ func (f *Fleet) planDrain() {
 	c.drainSrc = src.id
 }
 
-// startMigrations begins up to MigrateBatch moves off the drain source (or
-// off any machine whose admitted demand exceeds its cap — the hot case,
-// defensive against future cap shrinking). Remove-then-add: the session
+// startMigrations begins up to DefaultMigrateBatch moves off the drain
+// source (or off any machine whose admitted demand exceeds its cap — the hot
+// case, defensive against future cap shrinking). Remove-then-add: the session
 // deregisters from its source and its demand is reserved on the target
 // now; registration on the target happens next tick.
 func (f *Fleet) startMigrations() error {
@@ -698,7 +679,7 @@ func (f *Fleet) startMigrations() error {
 			continue
 		}
 		for _, inst := range sortedInstances(c.registry) {
-			if started >= f.cfg.MigrateBatch {
+			if started >= DefaultMigrateBatch {
 				return nil
 			}
 			rec := c.registry[inst]

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/harp-rm/harp/internal/check"
-	"github.com/harp-rm/harp/internal/core"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/workload"
@@ -55,7 +54,6 @@ func testFleet(t *testing.T, machines int, budgetW float64, mut func(*Config)) *
 		Platform:     testPlat(),
 		FleetBudgetW: budgetW,
 		Verify:       true,
-		Coalesce:     core.CoalescePolicy{Enabled: true},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -176,7 +174,8 @@ func TestMachineKillRehomesSessions(t *testing.T) {
 	if err := f.KillMachine(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Declaration after DeadAfter missed beats, re-home on the same tick.
+	// Declaration after DefaultDeadAfter missed beats, re-home on the same
+	// tick.
 	mustTick(t, f, DefaultDeadAfter+1)
 	if f.Stats().MachineDeaths != 1 {
 		t.Fatalf("machine deaths = %d, want 1", f.Stats().MachineDeaths)
@@ -198,16 +197,13 @@ func TestMachineKillRehomesSessions(t *testing.T) {
 
 func TestCoordinatorFailoverRecoversPlacements(t *testing.T) {
 	var journal bytes.Buffer
-	f := testFleet(t, 3, 30, func(c *Config) {
-		c.SnapshotEvery = 2
-		c.Journal = &journal
-	})
+	f := testFleet(t, 3, 30, func(c *Config) { c.Journal = &journal })
 	for i := 0; i < 5; i++ {
 		if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	mustTick(t, f, 4) // places everyone and ships at ticks 2 and 4
+	mustTick(t, f, DefaultSnapshotEvery) // places everyone, then ships
 	before := map[string]string{}
 	for i := 0; i < 5; i++ {
 		inst := fmt.Sprintf("s%d", i)
@@ -289,10 +285,11 @@ func TestDrainConsolidatesAndMigrates(t *testing.T) {
 }
 
 func TestKillDuringMigrationAborts(t *testing.T) {
-	f := testFleet(t, 3, 30, func(c *Config) { c.DeadAfter = 1 })
+	var journal bytes.Buffer
+	f := testFleet(t, 3, 30, func(c *Config) { c.Journal = &journal })
 	// Two 4 W sessions fill m0 to 8/10, so the 3 W session spills to m1.
 	// Deregistering a1 then opens 6 W of headroom on m0, making m1
-	// drainable.
+	// drainable into m0.
 	specs := []struct {
 		inst    string
 		demandW float64
@@ -303,30 +300,33 @@ func TestKillDuringMigrationAborts(t *testing.T) {
 		}
 	}
 	mustTick(t, f, 1)
-	if src := f.Owner("b0"); src == "" || src == f.Owner("a0") {
-		t.Fatalf("unexpected spread: b0 on %q, a0 on %q", src, f.Owner("a0"))
+	target := f.Owner("a0")
+	if src := f.Owner("b0"); src == "" || src == target {
+		t.Fatalf("unexpected spread: b0 on %q, a0 on %q", src, target)
 	}
-	if err := f.Deregister("a1"); err != nil {
-		t.Fatal(err)
-	}
-	// Let the drain of b0's machine start, then kill the migration target
-	// before the add half runs.
-	for i := 0; i < 6; i++ {
-		mustTick(t, f, 1)
-		if f.Health().InFlight > 0 {
-			break
-		}
-	}
-	if f.Health().InFlight == 0 {
-		t.Fatalf("no in-flight migration to interrupt; stats %+v", f.Stats())
-	}
-	target := f.coord.inflight[0].to
+	// Kill the drain target DefaultDeadAfter-1 ticks before the drain
+	// starts: the coordinator still believes it alive when the flight
+	// starts, and declares it dead on the next tick, before the add half
+	// runs.
 	if err := f.KillMachine(target); err != nil {
 		t.Fatal(err)
 	}
-	// DeadAfter=1: next tick declares the target dead, aborts the flight
-	// and re-homes; every tick in between must keep the invariants.
-	mustTick(t, f, 4)
+	mustTick(t, f, DefaultDeadAfter-2)
+	if err := f.Deregister("a1"); err != nil {
+		t.Fatal(err)
+	}
+	mustTick(t, f, 1)
+	if f.Health().InFlight == 0 || f.coord.inflight[0].to != target {
+		t.Fatalf("no in-flight migration to %s to interrupt; stats %+v", target, f.Stats())
+	}
+	// Next tick declares the target dead, aborts the flight and re-homes;
+	// every tick in between must keep the invariants.
+	mustTick(t, f, 1)
+	if f.Stats().MachineDeaths != 1 || len(f.coord.inflight) != 0 || f.Stats().Migrations != 0 {
+		t.Fatalf("flight to the dead target not aborted: stats %+v, in flight %v\n%s",
+			f.Stats(), f.coord.inflight, journal.String())
+	}
+	mustTick(t, f, 3)
 	if m := f.Owner("b0"); m == "" || m == target {
 		t.Fatalf("b0 on %q after target kill (target %s)", m, target)
 	}
@@ -338,10 +338,7 @@ func TestKillDuringMigrationAborts(t *testing.T) {
 func TestJournalDeterminism(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
-		f := testFleet(t, 3, 30, func(c *Config) {
-			c.Journal = &buf
-			c.SnapshotEvery = 2
-		})
+		f := testFleet(t, 3, 30, func(c *Config) { c.Journal = &buf })
 		for i := 0; i < 6; i++ {
 			if err := f.Submit(testSpec(f.cfg.Platform, fmt.Sprintf("s%d", i), 3)); err != nil {
 				t.Fatal(err)

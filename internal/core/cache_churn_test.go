@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/harp-rm/harp/internal/alloc"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
 	"github.com/harp-rm/harp/internal/store"
@@ -22,16 +23,25 @@ type churnMgr struct {
 	dec  []Decision
 }
 
-func newChurnMgr(t *testing.T, p *platform.Platform, tables map[string]*opoint.Table, cacheSize int) *churnMgr {
+// newChurnMgr builds one half of the pair: the default allocator (solution
+// cache on) when cached, else an injected cache-less alloc.New.
+func newChurnMgr(t *testing.T, p *platform.Platform, tables map[string]*opoint.Table, cached bool) *churnMgr {
 	t.Helper()
 	c := &churnMgr{jbuf: &bytes.Buffer{}}
-	m, err := NewManager(Config{
+	cfg := Config{
 		Platform:           p,
 		OfflineTables:      tables,
 		DisableExploration: true,
-		AllocCacheSize:     cacheSize,
 		Journal:            telemetry.NewJournal(c.jbuf),
-	})
+	}
+	if !cached {
+		a, err := alloc.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Allocator = a
+	}
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +74,8 @@ func TestCacheChurnNeverStale(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cached := newChurnMgr(t, p, tables, 0) // 0 → DefaultCacheSize
-			fresh := newChurnMgr(t, p, tables, -1) // negative → disabled
+			cached := newChurnMgr(t, p, tables, true)
+			fresh := newChurnMgr(t, p, tables, false)
 			rng := rand.New(rand.NewSource(seed))
 			nextID := 0
 			type sess struct{ id, app string }
@@ -92,8 +102,8 @@ func TestCacheChurnNeverStale(t *testing.T) {
 					if len(fst.AllocCache) != 0 {
 						t.Fatalf("op %d: cache-disabled manager exported %d cache entries", op, len(fst.AllocCache))
 					}
-					cached = newChurnMgr(t, p, tables, 0)
-					fresh = newChurnMgr(t, p, tables, -1)
+					cached = newChurnMgr(t, p, tables, true)
+					fresh = newChurnMgr(t, p, tables, false)
 					if err := cached.m.ImportState(cst, store.Recovery{}); err != nil {
 						t.Fatalf("op %d: import into cached manager: %v", op, err)
 					}

@@ -57,7 +57,7 @@ func churnTestTable(t *testing.T, p *platform.Platform, app string, kind, cores 
 	return tbl
 }
 
-func newCoalescingManager(t *testing.T, pol CoalescePolicy) (*Manager, *countingAllocator) {
+func newCoalescingManager(t *testing.T, coalesce bool) (*Manager, *countingAllocator) {
 	t.Helper()
 	p := churnTestPlatform(t)
 	real, err := alloc.New(p)
@@ -69,7 +69,7 @@ func newCoalescingManager(t *testing.T, pol CoalescePolicy) (*Manager, *counting
 		Platform:           p,
 		Allocator:          counting,
 		DisableExploration: true,
-		Coalesce:           pol,
+		Coalesce:           coalesce,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func newCoalescingManager(t *testing.T, pol CoalescePolicy) (*Manager, *counting
 // registration storm under coalescing costs exactly one solve, flushed by
 // the adaptation tick, instead of one solve per event.
 func TestRegistrationStormCoalescesToOneEpoch(t *testing.T) {
-	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true})
+	m, counting := newCoalescingManager(t, true)
 	const storm = 100
 	for i := 0; i < storm; i++ {
 		if err := m.Register(fmt.Sprintf("s%03d", i), "app", workload.Scalable, false); err != nil {
@@ -114,19 +114,19 @@ func TestRegistrationStormCoalescesToOneEpoch(t *testing.T) {
 }
 
 // TestCoalesceDirtyBoundFlushesInline pins the staleness bound: the pending
-// epoch flushes as soon as MaxDirty events accumulate, without waiting for a
-// tick.
+// epoch flushes as soon as DefaultCoalesceMaxDirty events accumulate, without
+// waiting for a tick.
 func TestCoalesceDirtyBoundFlushesInline(t *testing.T) {
-	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true, MaxDirty: 10})
-	for i := 0; i < 25; i++ {
+	m, counting := newCoalescingManager(t, true)
+	const events = 2*DefaultCoalesceMaxDirty + 5
+	for i := 0; i < events; i++ {
 		if err := m.Register(fmt.Sprintf("s%03d", i), "app", workload.Scalable, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 25 events with a bound of 10 → flushes at events 10 and 20, leaving 5
-	// pending.
+	// Flushes at the bound and at twice the bound, leaving 5 pending.
 	if counting.solves != 2 {
-		t.Fatalf("dirty bound ran %d solves for 25 events, want 2", counting.solves)
+		t.Fatalf("dirty bound ran %d solves for %d events, want 2", counting.solves, events)
 	}
 	if pending, events := m.PendingEpoch(); !pending || events != 5 {
 		t.Fatalf("pending=%v events=%d, want 5 residual events pending", pending, events)
@@ -137,7 +137,7 @@ func TestCoalesceDirtyBoundFlushesInline(t *testing.T) {
 // and inline epochs: a manual Reallocate (or cadence solve) covers all
 // sessions, so the queued epoch is satisfied, not double-solved.
 func TestInlineSolveAbsorbsPendingEpoch(t *testing.T) {
-	m, counting := newCoalescingManager(t, CoalescePolicy{Enabled: true})
+	m, counting := newCoalescingManager(t, true)
 	if err := m.Register("s0", "app", workload.Scalable, false); err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestRegisterRollbackRestoresContinuityState(t *testing.T) {
 	}
 	// Simulate recovered continuity state: the instance deregistered before
 	// (ended) and announced a phase before an RM restart (priorPhase).
-	m.ended["s0"] = struct{}{}
+	m.ended.add("s0")
 	m.priorPhase["s0"] = "steady"
 
 	counting.fail = true
 	if err := m.Register("s0", "app", workload.Scalable, false); err == nil {
 		t.Fatal("registration succeeded although the solver failed")
 	}
-	if _, ok := m.ended["s0"]; !ok {
+	if !m.ended.has("s0") {
 		t.Fatal("rollback lost m.ended: retry will not count as a reconnect")
 	}
 	if phase := m.priorPhase["s0"]; phase != "steady" {
@@ -243,7 +243,7 @@ func TestRegisterRollbackRestoresContinuityState(t *testing.T) {
 // order slice tombstones in O(1) and compacts, so after a full storm no
 // ghost entries remain and re-registration works.
 func TestDeregisterStormCompactsOrder(t *testing.T) {
-	m, _ := newCoalescingManager(t, CoalescePolicy{})
+	m, _ := newCoalescingManager(t, false)
 	const n = 64
 	for i := 0; i < n; i++ {
 		if err := m.Register(fmt.Sprintf("s%03d", i), "app", workload.Scalable, false); err != nil {
@@ -282,7 +282,7 @@ func TestCoalescedEpochTriggerLabels(t *testing.T) {
 	m, err := NewManager(Config{
 		Platform:           p,
 		DisableExploration: true,
-		Coalesce:           CoalescePolicy{Enabled: true},
+		Coalesce:           true,
 		Journal:            telemetry.NewJournal(&jbuf),
 	})
 	if err != nil {
@@ -308,40 +308,5 @@ func TestCoalescedEpochTriggerLabels(t *testing.T) {
 	}
 	if !strings.Contains(jbuf.String(), `"trigger":"coalesced"`) {
 		t.Fatalf("burst epoch not labelled coalesced; journal: %s", jbuf.String())
-	}
-}
-
-// TestIncrementalManagerConfig pins the Config wiring: AllocIncremental
-// turns on the default allocator's incremental path, so a phase change on
-// one session re-solves with the others pinned rather than from scratch.
-func TestIncrementalManagerConfig(t *testing.T) {
-	p := churnTestPlatform(t)
-	m, err := NewManager(Config{
-		Platform:           p,
-		DisableExploration: true,
-		AllocIncremental:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("s%d", i)
-		if err := m.Register(id, fmt.Sprintf("app%d", i), workload.Scalable, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.UploadTable(id, churnTestTable(t, p, fmt.Sprintf("app%d", i), i%2, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.PhaseChange("s1", "compute-stage"); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.LastSolveSource(); got != alloc.SourceIncremental {
-		t.Fatalf("solve source = %q, want %q", got, alloc.SourceIncremental)
-	}
-	for _, info := range m.Sessions() {
-		if s := m.sessions[info.Instance]; s.last == nil || len(s.last.Grants) == 0 {
-			t.Fatalf("session %s has no grants after the incremental solve", info.Instance)
-		}
 	}
 }

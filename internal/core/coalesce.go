@@ -44,39 +44,11 @@ const DefaultCoalesceMaxDirty = 256
 // mutating event.
 const TriggerCoalesced = "coalesced"
 
-// CoalescePolicy configures epoch coalescing (Config.Coalesce). The zero
-// value disables coalescing, preserving the historical solve-per-event
-// behaviour byte for byte.
-type CoalescePolicy struct {
-	// Enabled turns coalescing on.
-	Enabled bool
-	// MaxDirty flushes the pending epoch immediately once this many mutating
-	// events have accumulated (0 selects DefaultCoalesceMaxDirty).
-	MaxDirty int
-	// MaxPendingTicks is how many adaptation ticks a pending epoch may wait
-	// before Tick flushes it (0 selects 1: flush on the next tick).
-	MaxPendingTicks int
-}
-
-func (p CoalescePolicy) maxDirty() int {
-	if p.MaxDirty > 0 {
-		return p.MaxDirty
-	}
-	return DefaultCoalesceMaxDirty
-}
-
-func (p CoalescePolicy) maxTicks() int {
-	if p.MaxPendingTicks > 0 {
-		return p.MaxPendingTicks
-	}
-	return 1
-}
-
 // epochAfter is the epoch trigger for mutating operations: solve inline when
 // coalescing is off, otherwise enqueue the pending epoch and flush only at
 // the dirty-event bound.
 func (m *Manager) epochAfter(trigger string) error {
-	if !m.cfg.Coalesce.Enabled {
+	if !m.cfg.Coalesce {
 		return m.reallocate(trigger)
 	}
 	m.pendingEvents++
@@ -85,27 +57,18 @@ func (m *Manager) epochAfter(trigger string) error {
 	} else {
 		m.pendingEpoch = true
 		m.pendingTrigger = trigger
-		m.pendingTicks = 0
 	}
-	if m.pendingEvents >= m.cfg.Coalesce.maxDirty() {
+	if m.pendingEvents >= DefaultCoalesceMaxDirty {
 		return m.flushPending()
 	}
 	return nil
 }
 
-// Tick advances the coalescing clock by one adaptation tick (the embedding
-// layer's 50 ms loop calls it once per tick) and flushes the pending epoch
-// once it has waited MaxPendingTicks. A no-op without a pending epoch or
-// with coalescing disabled.
+// Tick is the adaptation tick (the embedding layer's 50 ms loop calls it
+// once per tick): it flushes the pending epoch. A no-op without a pending
+// epoch or with coalescing disabled.
 func (m *Manager) Tick() error {
-	if !m.pendingEpoch {
-		return nil
-	}
-	m.pendingTicks++
-	if m.pendingTicks >= m.cfg.Coalesce.maxTicks() {
-		return m.flushPending()
-	}
-	return nil
+	return m.Flush()
 }
 
 // Flush forces the pending coalesced epoch to solve now; a no-op when
@@ -157,5 +120,4 @@ func (m *Manager) resetPending() {
 	m.pendingEpoch = false
 	m.pendingTrigger = ""
 	m.pendingEvents = 0
-	m.pendingTicks = 0
 }

@@ -114,7 +114,8 @@ type Allocator interface {
 type Config struct {
 	// Platform is the hardware description (required).
 	Platform *platform.Platform
-	// Allocator solves the MMKP; nil builds a default Lagrangian allocator.
+	// Allocator solves the MMKP; nil builds a default Lagrangian allocator
+	// with the fingerprinted solution cache (alloc.DefaultCacheSize entries).
 	Allocator Allocator
 	// Explore tunes runtime exploration.
 	Explore explore.Config
@@ -125,9 +126,6 @@ type Config struct {
 	// configuration, mandatory on platforms without simultaneous PMU access
 	// such as the Odroid XU3-E (§6.4).
 	DisableExploration bool
-	// ReallocEvery is the stable-stage reallocation cadence in
-	// measurements; 0 selects DefaultReallocEvery.
-	ReallocEvery int
 	// Tracer receives structured adaptation-loop events (nil disables
 	// tracing). It is also handed to the explorers and, when Allocator is
 	// nil, to the default allocator.
@@ -153,13 +151,6 @@ type Config struct {
 	// MaxSessions caps concurrent registrations (0 = unlimited). Attempts
 	// beyond the cap fail with ErrTooManySessions.
 	MaxSessions int
-	// AllocCacheSize sizes the default allocator's fingerprinted solution
-	// cache: 0 selects alloc.DefaultCacheSize, negative disables caching.
-	// Ignored when Allocator is set — a custom allocator manages its own
-	// caching. The cache is content-addressed, so it is decision-transparent:
-	// register/deregister/phase-change/table mutations change the fingerprint
-	// and miss naturally (see PERFORMANCE.md).
-	AllocCacheSize int
 	// AllocWarmStart seeds the default allocator's subgradient iteration
 	// from the previous epoch's λ vector. Warm-started solves converge in
 	// fewer iterations but are not guaranteed bit-identical to cold solves,
@@ -168,15 +159,9 @@ type Config struct {
 	// Coalesce batches the epochs mutating operations trigger: instead of one
 	// solve per Register/Deregister/UploadTable/PhaseChange, a pending epoch
 	// is enqueued and flushed by the adaptation tick (Manager.Tick) or at the
-	// dirty-event bound. The zero value preserves solve-per-event behaviour.
-	// See coalesce.go.
-	Coalesce CoalescePolicy
-	// AllocIncremental enables the default allocator's incremental re-solve
-	// path: unchanged sessions stay pinned at their standing allocations and
-	// only the changed set re-optimises against the residual capacity.
-	// Opt-in for the same reason as AllocWarmStart — results are not
-	// guaranteed bit-identical to cold solves. Ignored when Allocator is set.
-	AllocIncremental bool
+	// dirty-event bound. False preserves solve-per-event behaviour. See
+	// coalesce.go.
+	Coalesce bool
 	// EpochBudget is the per-solve deadline for the degradation ladder:
 	// the default allocator's subgradient loop cuts off early when the
 	// budget is exceeded, and a solve that cannot produce a result at all
@@ -240,10 +225,10 @@ type Manager struct {
 	pendingEpoch   bool
 	pendingTrigger string
 	pendingEvents  int
-	pendingTicks   int
-	// ended remembers instances that deregistered, so a re-registration of
-	// the same instance can be counted as a session resumption.
-	ended map[string]struct{}
+	// ended remembers the most recently ended instances, so a
+	// re-registration of the same instance can be counted as a session
+	// resumption (see ended.go).
+	ended endedSet
 	// priorPhase remembers the last announced phase of sessions recovered
 	// from durable state (ImportState), restored when the client reconnects.
 	priorPhase map[string]string
@@ -254,8 +239,9 @@ type Manager struct {
 	pendingOut []telemetry.EpochOutput
 
 	// lastSolveSource remembers where the most recent solve's solution came
-	// from ("cold", "warm" or "cached") for status surfaces; empty before
-	// the first solve.
+	// from (one of the alloc.Source* labels: cold, warm, cached, incremental
+	// or a degradation-ladder rung) for status surfaces; empty before the
+	// first solve.
 	lastSolveSource string
 
 	// Flight-recorder phase histograms, resolved once at construction so the
@@ -298,17 +284,12 @@ func NewManager(cfg Config) (*Manager, error) {
 	allocator := cfg.Allocator
 	var fallback Allocator
 	if allocator == nil {
-		cacheSize := cfg.AllocCacheSize
-		if cacheSize == 0 {
-			cacheSize = alloc.DefaultCacheSize
-		}
 		var err error
 		allocator, err = alloc.New(cfg.Platform,
 			alloc.WithTracer(cfg.Tracer),
 			alloc.WithMetrics(cfg.Metrics),
-			alloc.WithCache(cacheSize),
+			alloc.WithCache(alloc.DefaultCacheSize),
 			alloc.WithWarmStart(cfg.AllocWarmStart),
-			alloc.WithIncremental(cfg.AllocIncremental),
 		)
 		if err != nil {
 			return nil, err
@@ -324,12 +305,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Explore.Tracer == nil {
 		cfg.Explore.Tracer = cfg.Tracer
 	}
-	if cfg.ReallocEvery == 0 {
-		cfg.ReallocEvery = DefaultReallocEvery
-	}
-	if cfg.ReallocEvery < 1 {
-		return nil, fmt.Errorf("core: realloc cadence %d", cfg.ReallocEvery)
-	}
 	if cfg.EpochBudget == 0 {
 		cfg.EpochBudget = DefaultEpochBudget
 	}
@@ -339,7 +314,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		fallback:   fallback,
 		sessions:   make(map[string]*session),
 		explorers:  make(map[string]*explore.Explorer),
-		ended:      make(map[string]struct{}),
 		priorPhase: make(map[string]string),
 		orderIdx:   make(map[string]int),
 	}
@@ -406,7 +380,7 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 	// followed by a successful retry loses the resumed phase and the
 	// reconnect count.
 	priorPhase, hadPrior := m.priorPhase[instance]
-	_, wasEnded := m.ended[instance]
+	wasEnded := m.ended.has(instance)
 	if hadPrior {
 		// The instance existed before an RM restart; resume its announced
 		// phase so the journal and status views stay continuous.
@@ -426,10 +400,10 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 		s.utilGauge = mt.SessionUtility.With(instance)
 		s.powerGauge = mt.SessionPower.With(instance)
 	}
-	delete(m.ended, instance)
+	m.ended.remove(instance)
 	m.updateLiveGauge()
 	rerr := m.epochAfter("register")
-	if rerr != nil && !m.cfg.Coalesce.Enabled {
+	if rerr != nil && !m.cfg.Coalesce {
 		// Roll the half-registered session back out: the caller reports the
 		// failure to the client, and a ghost session would keep joining
 		// future solves with nobody listening for its decisions. The journal
@@ -451,7 +425,7 @@ func (m *Manager) Register(instance, app string, adaptivity workload.Adaptivity,
 			m.priorPhase[instance] = priorPhase
 		}
 		if wasEnded {
-			m.ended[instance] = struct{}{}
+			m.ended.add(instance)
 		}
 		m.updateLiveGauge()
 		return rerr
@@ -545,7 +519,7 @@ func (m *Manager) deregister(instance, trigger string, kind telemetry.EventKind)
 		return err
 	}
 	delete(m.sessions, instance)
-	m.ended[instance] = struct{}{}
+	m.ended.add(instance)
 	m.cfg.Energy.EndSession(instance)
 	m.orderRemove(instance)
 	m.cfg.Tracer.Emit(telemetry.Event{
@@ -729,7 +703,7 @@ func (m *Manager) Measure(instance string, utility, power float64) error {
 	}
 
 	s.stableMeasurements++
-	if s.stableMeasurements >= m.cfg.ReallocEvery {
+	if s.stableMeasurements >= DefaultReallocEvery {
 		s.stableMeasurements = 0
 		return m.reallocate("cadence")
 	}
@@ -1163,8 +1137,9 @@ func (m *Manager) LastEpochError() string { return m.lastEpochErr }
 func (m *Manager) DegradedRung() string { return m.lastRung }
 
 // LastSolveSource reports where the most recent epoch's solution came from
-// (alloc.SourceCold, alloc.SourceWarm, alloc.SourceCached or a
-// degradation-ladder rung; empty before the first solve).
+// (alloc.SourceCold, SourceWarm, SourceCached, SourceIncremental or a
+// degradation-ladder rung: SourceDegradedGreedy, SourceDegradedStale or
+// SourceFrozen; empty before the first solve).
 func (m *Manager) LastSolveSource() string { return m.lastSolveSource }
 
 // AllocCacheStats reports the allocator's solution-cache accounting, or the

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"github.com/harp-rm/harp/internal/explore"
 	"github.com/harp-rm/harp/internal/opoint"
 	"github.com/harp-rm/harp/internal/platform"
+	"github.com/harp-rm/harp/internal/telemetry"
 	"github.com/harp-rm/harp/internal/workload"
 )
 
@@ -54,9 +56,6 @@ func TestNewManagerValidation(t *testing.T) {
 	}
 	if _, err := NewManager(Config{Platform: platform.OdroidXU3(), DisableExploration: true}); err != nil {
 		t.Errorf("offline Odroid manager: %v", err)
-	}
-	if _, err := NewManager(Config{Platform: platform.RaptorLake(), ReallocEvery: -1}); err == nil {
-		t.Error("negative realloc cadence accepted")
 	}
 }
 
@@ -407,15 +406,16 @@ func TestUploadTable(t *testing.T) {
 	}
 }
 
-// Stable sessions must be reassessed after the configured number of
-// measurements (§5.3: every 100).
+// Stable sessions must be reassessed every DefaultReallocEvery measurements
+// (§5.3: every 100), and not before.
 func TestStableReallocCadence(t *testing.T) {
 	p := platform.RaptorLake()
 	prof := mustProfile(t, workload.IntelApps(), "ep.C")
+	var jbuf bytes.Buffer
 	m, err := NewManager(Config{
 		Platform:      p,
-		ReallocEvery:  10,
 		OfflineTables: map[string]*opoint.Table{"ep.C": offlineTable(p, prof)},
+		Journal:       telemetry.NewJournal(&jbuf),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -423,18 +423,33 @@ func TestStableReallocCadence(t *testing.T) {
 	if err := m.Register("e", "ep.C", workload.Scalable, false); err != nil {
 		t.Fatal(err)
 	}
-	// The session is stable (seeded); count reallocations via a probe that
-	// watches allocator activity indirectly: decisions only change if the
-	// allocation changes, so register a second app mid-stream and verify the
-	// survivor picks up the new capacity on the cadence boundary.
-	for i := 0; i < 9; i++ {
+	cadenceEpochs := func() int {
+		t.Helper()
+		recs, err := telemetry.ReadJournal(bytes.NewReader(jbuf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range recs {
+			if r.Trigger == "cadence" {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < DefaultReallocEvery-1; i++ {
 		if err := m.Measure("e", 100, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The 10th measurement triggers Reallocate without error.
+	if n := cadenceEpochs(); n != 0 {
+		t.Fatalf("%d cadence epochs before %d measurements", n, DefaultReallocEvery)
+	}
 	if err := m.Measure("e", 100, 10); err != nil {
 		t.Fatalf("cadence reallocation: %v", err)
+	}
+	if n := cadenceEpochs(); n != 1 {
+		t.Fatalf("%d cadence epochs after %d measurements, want 1", n, DefaultReallocEvery)
 	}
 }
 

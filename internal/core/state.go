@@ -108,7 +108,7 @@ func (m *Manager) ImportState(st *store.State, rec store.Recovery) error {
 		m.explorerFor(app).SeedTable(tbl)
 	}
 	for _, ss := range st.Sessions {
-		m.ended[ss.Instance] = struct{}{}
+		m.ended.add(ss.Instance)
 		if ss.Phase != "" {
 			if m.priorPhase == nil {
 				m.priorPhase = make(map[string]string)
